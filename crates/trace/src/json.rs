@@ -223,19 +223,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = text_tail(bytes, *pos)?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the whole plain run up to the next `"` or `\` at
+                // once. Both delimiters are ASCII, so the run never splits
+                // a UTF-8 sequence and validating just the run is exact.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
-}
-
-fn text_tail(bytes: &[u8], pos: usize) -> Result<&str, String> {
-    std::str::from_utf8(&bytes[pos..]).map_err(|e| e.to_string())
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {

@@ -221,3 +221,82 @@ fn json_parser_handles_the_report_vocabulary() {
         assert!(json::parse(bad).is_err(), "{bad:?} must not parse");
     }
 }
+
+#[test]
+fn json_strings_decode_runs_and_escapes_alike() {
+    // (JSON source of one string, decoded text). 2-byte é, 3-byte €,
+    // 4-byte 😀, with escapes before, between and after the plain runs.
+    let cases: &[(&str, &str)] = &[
+        (r#""""#, ""),
+        (r#""plain ascii""#, "plain ascii"),
+        (r#""é€😀""#, "é€😀"),
+        (r#""\"é€😀\"""#, "\"é€😀\""),
+        (r#""\\é\n€\t😀\\""#, "\\é\n€\t😀\\"),
+        (r#""ab\/cd\b\f\r""#, "ab/cd\u{8}\u{c}\r"),
+        (r#""\u00e9é\u20ac€""#, "éé€€"),
+        (r#""😀\u0041😀""#, "😀A😀"),
+        (r#""\u0000x""#, "\0x"),
+        (r#""€\"""#, "€\""),
+        (r#""\\""#, "\\"),
+    ];
+    for (source, want) in cases {
+        let parsed = json::parse(source).unwrap_or_else(|e| panic!("{source}: {e}"));
+        assert_eq!(parsed.as_str(), Some(*want), "{source}");
+        // The same string as an object key and inside an array.
+        let doc = format!("{{{source}: [{source}, {source}]}}");
+        let parsed = json::parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let fields = parsed.as_obj().expect("object");
+        assert_eq!(fields[0].0, *want, "{doc}");
+        let items = fields[0].1.as_arr().expect("array");
+        assert!(items.iter().all(|v| v.as_str() == Some(*want)), "{doc}");
+    }
+
+    let long_run = "é€😀x".repeat(1000);
+    for bad in [
+        format!("\"{long_run}"),
+        format!("\"\\n{long_run}"),
+        format!("[\"{long_run}\\\"]"),
+        "\"é\\".to_string(),
+        "\"\\q\"".to_string(),
+        "\"\\u00\"".to_string(),
+        "\"\\ud800\"".to_string(),
+    ] {
+        assert!(json::parse(&bad).is_err(), "{bad:?} must not parse");
+    }
+}
+
+#[test]
+fn json_parser_is_linear_in_document_size() {
+    // A manifest-shaped document: 20,000 entries of string-heavy objects.
+    // Parsing validated each character against the rest of the document
+    // once, which made this quadratic; it has to finish promptly even in
+    // a debug build.
+    let mut doc = String::from("{\"manifest_version\": 2, \"entries\": [");
+    for i in 0..20_000 {
+        if i > 0 {
+            doc.push(',');
+        }
+        doc.push_str(&format!(
+            "\n{{\"file\": \"attr-{i:05}.indv\", \"table\": \"tàble_{i}\", \
+             \"column\": \"c\\\"{i}\\\"\", \"min\": \"{i:08x}\", \"records\": {i}}}"
+        ));
+    }
+    doc.push_str("\n]}\n");
+    let parsed = json::parse(&doc).expect("parses");
+    let entries = parsed.get("entries").and_then(Json::as_arr).expect("array");
+    assert_eq!(entries.len(), 20_000);
+    let last = &entries[19_999];
+    assert_eq!(
+        last.get("file").and_then(Json::as_str),
+        Some("attr-19999.indv")
+    );
+    assert_eq!(
+        last.get("table").and_then(Json::as_str),
+        Some("tàble_19999")
+    );
+    assert_eq!(
+        last.get("column").and_then(Json::as_str),
+        Some("c\"19999\"")
+    );
+    assert_eq!(last.get("records").and_then(Json::as_u64), Some(19_999));
+}

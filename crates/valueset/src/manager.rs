@@ -262,6 +262,8 @@ impl ExportedDatabase {
             data_type: ind_storage::DataType,
             rows: u64,
             column: &'db [ind_storage::Value],
+            /// Value file name, the manifest key.
+            file: String,
             path: PathBuf,
         }
         #[allow(unused_mut)]
@@ -269,13 +271,15 @@ impl ExportedDatabase {
         let mut id = 0u32;
         for table in db.tables() {
             for (_, col_schema, col_data) in table.iter_columns() {
+                let file = format!("attr-{id:05}.indv");
                 jobs.push(Job {
                     id,
                     name: QualifiedName::new(table.name(), col_schema.name.clone()),
                     data_type: col_schema.data_type,
                     rows: table.row_count() as u64,
                     column: col_data,
-                    path: dir.join(format!("attr-{id:05}.indv")),
+                    path: dir.join(&file),
+                    file,
                 });
                 id += 1;
             }
@@ -336,14 +340,16 @@ impl ExportedDatabase {
             // lint: allow(swallowed_result) — spill runs from a dead run are garbage; absence is success
             let _ = std::fs::remove_dir_all(&spill_dir);
             manifest = Manifest::load(dir).unwrap_or_default();
+            // Entries for attributes no longer in the schema are pruned so
+            // the stored manifest always mirrors the live export set. Job
+            // file names are generated in id order, so the sort meets
+            // sorted input unless ids outgrow the zero padding.
+            let mut live: Vec<&str> = jobs.iter().map(|j| j.file.as_str()).collect();
+            live.sort_unstable();
+            manifest.retain_files(&live);
             let mut pending = Vec::with_capacity(jobs.len());
             for job in jobs {
-                let file = job
-                    .path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                match manifest.get(&file) {
+                match manifest.get(&job.file) {
                     Some(entry) if reusable(&job, entry) => {
                         attributes.push(ExportedAttribute {
                             id: job.id,
@@ -364,32 +370,6 @@ impl ExportedDatabase {
                         pending.push(job);
                     }
                 }
-            }
-            // Entries for attributes no longer in the schema are pruned so
-            // the stored manifest always mirrors the live export set.
-            let live: Vec<String> = pending
-                .iter()
-                .map(|j| {
-                    j.path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default()
-                })
-                .chain(attributes.iter().map(|a| {
-                    a.path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default()
-                }))
-                .collect();
-            let stale: Vec<String> = manifest
-                .entries()
-                .iter()
-                .filter(|e| !live.contains(&e.file))
-                .map(|e| e.file.clone())
-                .collect();
-            for file in stale {
-                manifest.remove(&file);
             }
             jobs = pending;
         }
@@ -424,17 +404,16 @@ impl ExportedDatabase {
                 path: job.path.clone(),
                 file_bytes: stats.file_bytes,
             };
+            // Hash outside the lock: concurrent workers must not queue
+            // behind each other's column scans.
+            let source_hash = hash_column(job.column);
             // Publish the manifest entry IMMEDIATELY after the attribute's
             // rename lands: a crash between two attributes then loses at
             // most the in-flight one, and `--resume` reuses the rest.
             {
                 let mut manifest = lock(&manifest);
                 manifest.upsert(ManifestEntry {
-                    file: job
-                        .path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default(),
+                    file: job.file.clone(),
                     id: job.id,
                     table: job.name.table.clone(),
                     column: job.name.column.clone(),
@@ -447,7 +426,7 @@ impl ExportedDatabase {
                     file_bytes: attr.file_bytes,
                     records: attr.distinct,
                     format_version: crate::frame::V2_VERSION,
-                    source_hash: hash_column(job.column),
+                    source_hash,
                 });
                 manifest.store(dir, sort.io.fault.as_ref())?;
             }
@@ -467,9 +446,7 @@ impl ExportedDatabase {
             let _ = std::fs::remove_file(&job.path);
             // lint: allow(swallowed_result) — atomic creation stages at `<path>.tmp`; sweep it with the same shrug
             let _ = std::fs::remove_file(crate::format::tmp_path(&job.path));
-            if let Some(file) = job.path.file_name() {
-                lock(&manifest).remove(&file.to_string_lossy());
-            }
+            lock(&manifest).remove(&job.file);
             (
                 ExportedAttribute {
                     id: job.id,
@@ -1255,6 +1232,82 @@ mod tests {
         assert_eq!(values, vec![b"1".to_vec(), b"3".to_vec(), b"9".to_vec()]);
         let blob = collect_cursor(resumed.open(2).unwrap()).unwrap();
         assert_eq!(blob, vec![b"xxxx".to_vec()]);
+    }
+
+    #[test]
+    fn resume_over_a_version_1_manifest_reexports_once() {
+        let dir = TempDir::new("resume-v1");
+        let db = sample_db();
+        ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).unwrap();
+        // Downgrade the manifest to the previous layout version, whose
+        // source hashes are not comparable with the current ones.
+        let manifest_path = dir.path().join(crate::MANIFEST_NAME);
+        let current = std::fs::read_to_string(&manifest_path).unwrap();
+        let v1 = current.replace("\"manifest_version\": 2", "\"manifest_version\": 1");
+        assert_ne!(v1, current, "manifest carries version 2");
+        std::fs::write(&manifest_path, v1).unwrap();
+
+        let reuse = ExportOptions::default().resume(ResumeMode::Reuse);
+        let resumed = ExportedDatabase::export(&db, dir.path(), &reuse).unwrap();
+        let attributes = resumed.attributes().len() as u64;
+        assert_eq!(resumed.exports_redone(), attributes);
+        assert_eq!(resumed.exports_reused(), 0);
+        assert_eq!(
+            std::fs::read_to_string(&manifest_path).unwrap(),
+            current,
+            "a version-2 manifest replaces the old one"
+        );
+
+        // Byte-identical to a clean export.
+        let clean_dir = TempDir::new("resume-v1-clean");
+        let clean =
+            ExportedDatabase::export(&db, clean_dir.path(), &ExportOptions::default()).unwrap();
+        for (a, b) in clean.attributes().iter().zip(resumed.attributes()) {
+            assert_eq!(
+                std::fs::read(&a.path).unwrap(),
+                std::fs::read(&b.path).unwrap()
+            );
+        }
+
+        // One re-export, then warm again.
+        let warm = ExportedDatabase::export(&db, dir.path(), &reuse).unwrap();
+        assert_eq!(warm.exports_reused(), attributes);
+        assert_eq!(warm.exports_redone(), 0);
+    }
+
+    #[test]
+    fn resume_prunes_entries_for_attributes_no_longer_exported() {
+        let dir = TempDir::new("resume-prune");
+        let db = sample_db();
+        ExportedDatabase::export(&db, dir.path(), &ExportOptions::default()).unwrap();
+        let mut manifest = Manifest::load(dir.path()).unwrap();
+        let mut ghost = manifest.entries()[0].clone();
+        ghost.file = "attr-00042.indv".to_string();
+        ghost.id = 42;
+        manifest.upsert(ghost);
+        manifest.store(dir.path(), None).unwrap();
+
+        // Re-export one attribute so the manifest is stored again.
+        let mut db2 = sample_db();
+        db2.table_mut("u").unwrap().insert(vec![9.into()]).unwrap();
+        let resumed = ExportedDatabase::export(
+            &db2,
+            dir.path(),
+            &ExportOptions::default().resume(ResumeMode::Reuse),
+        )
+        .unwrap();
+        assert_eq!(resumed.exports_redone(), 1);
+        let stored = Manifest::load(dir.path()).unwrap();
+        let files: Vec<&str> = stored.entries().iter().map(|e| e.file.as_str()).collect();
+        assert_eq!(
+            files,
+            [
+                "attr-00000.indv",
+                "attr-00001.indv",
+                "attr-00002.indv",
+                "attr-00003.indv"
+            ]
+        );
     }
 
     #[test]

@@ -12,6 +12,18 @@
 //! tmp + rename + fsync protocol, so a reader never observes a torn
 //! manifest — at worst a missing one, which merely disables reuse.
 //!
+//! Reading a manifest back is linear in its size, and checking an entry
+//! against its source column hashes the column a word at a time (see
+//! [`hash_column`]), so a resume over unchanged tables costs little beyond
+//! reading the manifest and the column data once.
+//!
+//! Version 2 of the manifest layout (the `manifest_version` field) records
+//! the word-at-a-time column hash; version 1 recorded an FNV-1a hash of the
+//! canonical renderings. The JSON layout is otherwise unchanged, but the
+//! hashes are not comparable, so a version-1 manifest is rejected like any
+//! other foreign version: reuse is disabled for one run, every attribute is
+//! re-exported, and a version-2 manifest replaces it.
+//!
 //! This file is also the seam for a future content-addressed store: every
 //! entry already carries a source-content hash, so exports keyed by hash
 //! instead of attribute id are a rename away.
@@ -25,9 +37,10 @@ use std::sync::Arc;
 /// File name of the manifest inside an export workdir.
 pub const MANIFEST_NAME: &str = "MANIFEST.json";
 
-/// Manifest schema version (bump on incompatible layout changes; readers
-/// reject other versions, which simply disables reuse).
-const MANIFEST_VERSION: u64 = 1;
+/// Manifest schema version (bump on incompatible layout or hash changes;
+/// readers reject other versions, which simply disables reuse). Version 2
+/// switched `source_hash` to the word-at-a-time [`hash_column`].
+const MANIFEST_VERSION: u64 = 2;
 
 /// One exported attribute's durable record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +71,8 @@ pub struct ManifestEntry {
     pub records: u64,
     /// On-disk format version of the value file.
     pub format_version: u32,
-    /// FNV-1a hash of the source column's canonical bytes (nulls
+    /// Content hash of the source column (`hash_column`: each cell's
+    /// type tag and native payload folded a word at a time, nulls
     /// included as markers), so stale files are detected when the input
     /// data changes between runs.
     pub source_hash: u64,
@@ -70,19 +84,30 @@ pub struct Manifest {
     entries: Vec<ManifestEntry>,
 }
 
-/// 64-bit FNV-1a, the workspace's no-dependency content hash.
+/// A 64-bit hash folded one 8-byte word at a time. Each fold is a
+/// bijection of the state for a fixed word and of the word for a fixed
+/// state, so two word streams that differ in exactly one word always end
+/// in different states.
 #[derive(Debug, Clone)]
-struct Fnv1a(u64);
+struct WordHash(u64);
 
-impl Fnv1a {
+impl WordHash {
     fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        WordHash(0xcbf2_9ce4_8422_2325)
     }
 
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    fn word(&mut self, w: u64) {
+        let x = (self.0 ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 29);
+    }
+
+    /// `bytes` as little-endian words, the last one zero-padded. Callers
+    /// fold the length first, so the padding is unambiguous.
+    fn bytes(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
         }
     }
 
@@ -91,23 +116,41 @@ impl Fnv1a {
     }
 }
 
-/// Content hash of one source column: every cell in row order, nulls as
-/// a marker byte, non-nulls as their length-prefixed canonical rendering
-/// (the exact bytes the export writes). Deterministic across runs and
-/// thread counts by construction.
+/// Type tags folded ahead of every cell's payload.
+const TAG_NULL: u64 = 0;
+const TAG_INTEGER: u64 = 1;
+const TAG_FLOAT: u64 = 2;
+const TAG_TEXT: u64 = 3;
+
+/// Content hash of one source column: every cell in row order as a type
+/// tag plus its native payload — `i64` bits, `f64::to_bits`, or a text's
+/// length (packed into the tag word) and bytes — with NULL a bare tag.
+/// Deterministic across runs, threads and platforms by construction, and
+/// a function of the values only, so equal columns hash equally however
+/// they were loaded. Equal payloads render equally, so every change the
+/// exported bytes could show changes the hash; the converse fails only
+/// for distinct NaN payloads (same rendering, different bits), which
+/// merely cost a re-export.
 pub(crate) fn hash_column(column: &[Value]) -> u64 {
-    let mut hash = Fnv1a::new();
-    let mut buf = Vec::new();
+    let mut hash = WordHash::new();
     for value in column {
-        if value.is_null() {
-            hash.update(&[0xFF]);
-        } else {
-            buf.clear();
-            value.render_canonical(&mut buf);
-            hash.update(&(buf.len() as u64).to_le_bytes());
-            hash.update(&buf);
+        match value {
+            Value::Null => hash.word(TAG_NULL),
+            Value::Integer(i) => {
+                hash.word(TAG_INTEGER);
+                hash.word(*i as u64);
+            }
+            Value::Float(x) => {
+                hash.word(TAG_FLOAT);
+                hash.word(x.to_bits());
+            }
+            Value::Text(s) => {
+                hash.word(TAG_TEXT | ((s.len() as u64) << 8));
+                hash.bytes(s.as_bytes());
+            }
         }
     }
+    hash.word(column.len() as u64);
     hash.finish()
 }
 
@@ -259,6 +302,16 @@ impl Manifest {
         }
     }
 
+    /// Keeps only the entries whose file is in `live`, which must be
+    /// sorted ascending: one merge pass over both sorted lists.
+    pub fn retain_files(&mut self, live: &[&str]) {
+        let mut live = live.iter().peekable();
+        self.entries.retain(|e| {
+            while live.next_if(|f| **f < e.file.as_str()).is_some() {}
+            live.peek().is_some_and(|f| **f == e.file)
+        });
+    }
+
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -378,6 +431,42 @@ mod tests {
     }
 
     #[test]
+    fn large_manifests_round_trip() {
+        // Linear parsing keeps this quick even in a debug build.
+        let mut m = Manifest::new();
+        for id in 0..20_000 {
+            let mut e = entry(&format!("attr-{id:05}.indv"), id);
+            e.table = format!("tàble \"{id}\"");
+            m.upsert(e);
+        }
+        let parsed = Manifest::from_json(&m.to_json()).expect("round trip");
+        assert_eq!(parsed.len(), 20_000);
+        assert_eq!(parsed.entries(), m.entries());
+    }
+
+    #[test]
+    fn retain_files_keeps_exactly_the_live_entries() {
+        let mut m = Manifest::new();
+        for id in [0, 1, 3, 5, 8] {
+            m.upsert(entry(&format!("attr-{id:05}.indv"), id));
+        }
+        m.retain_files(&[
+            "attr-00001.indv",
+            "attr-00002.indv",
+            "attr-00005.indv",
+            "attr-00008.indv",
+            "attr-00009.indv",
+        ]);
+        let files: Vec<&str> = m.entries().iter().map(|e| e.file.as_str()).collect();
+        assert_eq!(
+            files,
+            ["attr-00001.indv", "attr-00005.indv", "attr-00008.indv"]
+        );
+        m.retain_files(&[]);
+        assert!(m.is_empty());
+    }
+
+    #[test]
     fn upsert_replaces_by_file_name() {
         let mut m = Manifest::new();
         m.upsert(entry("attr-00000.indv", 0));
@@ -394,9 +483,20 @@ mod tests {
         assert!(Manifest::from_json("{}").is_none());
         assert!(Manifest::from_json("{\"manifest_version\": 999, \"entries\": []}").is_none());
         assert!(
-            Manifest::from_json("{\"manifest_version\": 1, \"entries\": [{\"file\": 3}]}")
+            Manifest::from_json("{\"manifest_version\": 2, \"entries\": [{\"file\": 3}]}")
                 .is_none()
         );
+        // A well-formed manifest of the previous version (different source
+        // hash) is foreign too: reuse is disabled rather than trusted.
+        let current = {
+            let mut m = Manifest::new();
+            m.upsert(entry("attr-00000.indv", 0));
+            m.to_json()
+        };
+        assert!(Manifest::from_json(&current).is_some());
+        let v1 = current.replace("\"manifest_version\": 2", "\"manifest_version\": 1");
+        assert_ne!(v1, current);
+        assert!(Manifest::from_json(&v1).is_none());
         assert!(Manifest::load(Path::new("/nonexistent")).is_none());
     }
 
@@ -449,5 +549,40 @@ mod tests {
             hash_column(&[] as &[Value]),
             "nulls are part of the content"
         );
+
+        // Texts around every word boundary that differ only in their last
+        // byte: the zero-padded tail word must still carry that byte.
+        for len in [0usize, 7, 8, 9, 16, 17] {
+            let base = "a".repeat(len);
+            let hashed = hash_column(&[Value::from(base.as_str())]);
+            assert_eq!(hashed, hash_column(&[Value::from(base.as_str())]));
+            if len > 0 {
+                let changed = format!("{}b", &base[..len - 1]);
+                assert_ne!(
+                    hashed,
+                    hash_column(&[Value::from(changed.as_str())]),
+                    "last byte of a {len}-byte text"
+                );
+            }
+            // A trailing zero byte is not the padding.
+            let padded = format!("{base}\0");
+            assert_ne!(hashed, hash_column(&[Value::from(padded.as_str())]));
+        }
+
+        // Same rendering, different type: the tag tells them apart.
+        let int = hash_column(&[Value::Integer(1)]);
+        let float = hash_column(&[Value::Float(1.0)]);
+        let text = hash_column(&[Value::from("1")]);
+        assert_ne!(int, float);
+        assert_ne!(int, text);
+        assert_ne!(float, text);
+
+        // A NULL moved to another row is a different column.
+        let null_first = vec![Value::Null, Value::Integer(1), Value::from("x")];
+        let null_last = vec![Value::Integer(1), Value::from("x"), Value::Null];
+        let null_middle = vec![Value::Integer(1), Value::Null, Value::from("x")];
+        assert_ne!(hash_column(&null_first), hash_column(&null_last));
+        assert_ne!(hash_column(&null_first), hash_column(&null_middle));
+        assert_ne!(hash_column(&null_middle), hash_column(&null_last));
     }
 }
